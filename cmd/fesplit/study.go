@@ -41,7 +41,7 @@ func cmdStudy(args []string) error {
 	clients := fs.Int("clients", 0,
 		"fleet campaign arrival count for -diurnal (clients exist only for their one query; memory tracks peak concurrency)")
 	horizon := fs.Duration("horizon", 10*time.Minute,
-		"virtual-time span of the -diurnal rate curve (the compressed day)")
+		"virtual-time span of the -diurnal rate curve (the compressed day; must be > 0)")
 	fleetBatches := fs.Int("fleet-batches", 0,
 		"strided arrival batches for -diurnal (0 → default; changes results, unlike -workers)")
 	if err := fs.Parse(args); err != nil {
@@ -171,6 +171,11 @@ func runFleetStudy(seed int64, clients int, horizon time.Duration, batches, work
 	dir string, progress bool, progressInterval time.Duration, listen string) error {
 	if clients <= 0 {
 		return fmt.Errorf("study: -diurnal requires -clients > 0, got %d", clients)
+	}
+	// FleetStudyConfig reads a zero horizon as "use the default"; on
+	// the command line it would silently run that default instead.
+	if horizon <= 0 {
+		return fmt.Errorf("study: -diurnal requires -horizon > 0, got %s", horizon)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

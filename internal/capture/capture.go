@@ -48,9 +48,14 @@ type Recorder struct {
 	// preserving their length — tcpdump's snaplen. Timeline analysis
 	// still works on snapped traces; content analysis does not, so
 	// keep at least one unsnapped recorder per service for the
-	// static-boundary probe. Large campaigns (250 nodes × 720 repeats)
-	// need snapping to stay within memory.
+	// static-boundary probe. Large accumulating campaigns (250 nodes ×
+	// 720 repeats) need snapping to stay within memory.
 	SnapPayload bool
+	// Live, when set, reports whether a connection is still open; the
+	// recorder drops events of connections it reports closed. Streaming
+	// campaigns set it so that, once a finished session has been carved
+	// out with Take, no late segment of that connection is kept.
+	Live func(ConnKey) bool
 }
 
 // NewRecorder creates a recorder for the named node.
@@ -66,6 +71,9 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent) {
 		Remote:     ev.Remote,
 		Seg:        ev.Segment,
 		PayloadLen: len(ev.Segment.Data),
+	}
+	if r.Live != nil && !r.Live(e.key()) {
+		return
 	}
 	if r.SnapPayload {
 		e.Seg.Data = nil
@@ -102,6 +110,25 @@ func (r *Recorder) Reset() { r.trace.Events = nil }
 // Any previously returned Trace must not be read afterwards.
 func (r *Recorder) ResetKeep() { r.trace.Events = r.trace.Events[:0] }
 
+// Take appends the events of one connection to dst, in capture order,
+// removes them from the recorder and returns the extended dst. The
+// remaining events keep their order and, as with ResetKeep, the backing
+// storage is reused, so a recorder that hands each finished session on
+// this way holds only the sessions still in flight. Any previously
+// returned Trace must not be read afterwards.
+func (r *Recorder) Take(key ConnKey, dst []Event) []Event {
+	kept := r.trace.Events[:0]
+	for _, e := range r.trace.Events {
+		if e.key() == key {
+			dst = append(dst, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	r.trace.Events = kept
+	return dst
+}
+
 // ConnKey identifies one TCP connection within a trace from the
 // capturing host's perspective.
 type ConnKey struct {
@@ -109,11 +136,6 @@ type ConnKey struct {
 	LocalPort  uint16
 	RemotePort uint16
 }
-
-// Key derives the connection key of an event — the per-completion
-// session filter for consumers that carve one connection out of a live
-// recorder without paying for a full Sessions split.
-func (e Event) Key() ConnKey { return e.key() }
 
 // key derives the connection key of an event. For outbound segments the
 // local port is the source port; for inbound it is the destination.

@@ -224,6 +224,43 @@ func TestSessionsSplit(t *testing.T) {
 	}
 }
 
+// TestRecorderTakeAndLive: Take carves one connection out of a live
+// recorder in capture order and leaves the others in order; a Live
+// filter drops events of connections it reports closed.
+func TestRecorderTakeAndLive(t *testing.T) {
+	rec := NewRecorder("c")
+	tap := func(dir tcpsim.Dir, remote string, local uint16, seq uint64) {
+		seg := tcpsim.Segment{SrcPort: local, DstPort: 80, Seq: seq}
+		if dir == tcpsim.DirRecv {
+			seg.SrcPort, seg.DstPort = 80, local
+		}
+		rec.Tap(tcpsim.TapEvent{Dir: dir, Remote: remote, Segment: seg})
+	}
+	tap(tcpsim.DirSend, "fe", 40000, 1)
+	tap(tcpsim.DirSend, "fe", 40001, 2)
+	tap(tcpsim.DirRecv, "fe", 40000, 3)
+	tap(tcpsim.DirRecv, "other", 40000, 4)
+	k0 := ConnKey{Remote: "fe", LocalPort: 40000, RemotePort: 80}
+	got := rec.Take(k0, nil)
+	if len(got) != 2 || got[0].Seg.Seq != 1 || got[1].Seg.Seq != 3 {
+		t.Fatalf("took %+v, want seq 1 then 3", got)
+	}
+	var left []uint64
+	for _, e := range rec.Trace().Events {
+		left = append(left, e.Seg.Seq)
+	}
+	if !reflect.DeepEqual(left, []uint64{2, 4}) {
+		t.Fatalf("left %v, want [2 4]", left)
+	}
+
+	rec.Live = func(k ConnKey) bool { return k != k0 }
+	tap(tcpsim.DirRecv, "fe", 40000, 5)
+	tap(tcpsim.DirRecv, "fe", 40001, 6)
+	if rec.Len() != 3 || rec.Trace().Events[2].Seg.Seq != 6 {
+		t.Fatalf("live filter kept %d events, want the closed connection's dropped", rec.Len())
+	}
+}
+
 func TestWriteTextRendering(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer

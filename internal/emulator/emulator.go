@@ -45,6 +45,11 @@ type Record struct {
 	BodyLen int
 	Body    []byte
 	Failed  bool
+	// Seq is the record's issue sequence within the experiment run
+	// that produced it — its index in that run's Dataset.Records — and
+	// the key that restores issue order when a streamed campaign hands
+	// records to a sink in completion order.
+	Seq int
 	// Key locates the session's packet events inside the node's trace.
 	Key capture.ConnKey
 	// Events is the session's client-side packet event list, attached
@@ -73,10 +78,13 @@ func (r Record) OverallDelay() time.Duration { return r.DoneAt - r.IssuedAt }
 // instead of growing with the full record count. See
 // ShardedAOptions.Sink.
 //
-// Consume is called in record order (batch order, then per-batch
-// simulation order), from the batch's worker goroutine. The record —
-// its Events, Span and Body included — must not be retained beyond the
-// call; copy what you keep.
+// A sharded campaign calls Consume in record order (batch order, then
+// per-batch simulation order), from the batch's worker goroutine. A
+// streamed Experiment B (BOptions.Sink) calls it in completion order,
+// from inside the simulation, as each session's connection terminates;
+// Record.Seq gives the issue order. The record — its Events, Span and
+// Body included — must not be retained beyond the call; copy what you
+// keep.
 type RecordSink interface {
 	Consume(rec *Record)
 }
@@ -92,6 +100,57 @@ type Dataset struct {
 	// unobservable in the real study, recorded here to validate the
 	// inference framework.
 	FEFetchTimes map[simnet.HostID][]time.Duration
+
+	// stream is set when the dataset streams its records into a sink
+	// instead of accumulating them (BOptions.Sink).
+	stream *recordStream
+}
+
+// recordStream is the in-flight state of a streamed dataset: records
+// issued but not yet folded, as a window over issue sequence numbers.
+// A record leaves the window when its connection terminates; the window
+// then advances past every folded head, so it spans only from the
+// oldest unfinished session to the newest issued one.
+type recordStream struct {
+	sink   RecordSink
+	window []*Record // window[i] holds Seq base+i; nil once folded
+	base   int
+}
+
+// add assigns rec the next issue sequence and stores it, returning the
+// sequence number.
+func (ds *Dataset) add(rec Record) int {
+	st := ds.stream
+	if st == nil {
+		rec.Seq = len(ds.Records)
+		ds.Records = append(ds.Records, rec)
+		return rec.Seq
+	}
+	rec.Seq = st.base + len(st.window)
+	st.window = append(st.window, &rec)
+	return rec.Seq
+}
+
+// record returns the stored record of an issue sequence number.
+func (ds *Dataset) record(seq int) *Record {
+	if st := ds.stream; st != nil {
+		return st.window[seq-st.base]
+	}
+	return &ds.Records[seq]
+}
+
+// release removes a folded record from the stream window and advances
+// the window past folded heads.
+func (st *recordStream) release(seq int) {
+	st.window[seq-st.base] = nil
+	n := 0
+	for n < len(st.window) && st.window[n] == nil {
+		n++
+	}
+	if n > 0 {
+		st.window = append(st.window[:0], st.window[n:]...)
+		st.base += n
+	}
 }
 
 // Runner owns one simulated world: a deployment, a vantage fleet, and a
@@ -107,6 +166,7 @@ type Runner struct {
 
 	clientTCP  tcpsim.Config
 	keepBodies bool
+	evScratch  []capture.Event
 
 	obsv       *obs.Observer
 	simMetrics *simnet.Metrics
@@ -126,9 +186,12 @@ type Options struct {
 	ClientTCP tcpsim.Config
 	// SnapPayloads drops payload bytes at capture time (tcpdump
 	// snaplen): timeline analysis still works, content analysis does
-	// not. Required to keep paper-scale campaigns (250 nodes × 720
-	// repeats) within memory; derive the content boundary from a
-	// small unsnapped probe run instead.
+	// not; derive the content boundary from a small unsnapped probe run
+	// instead. An accumulating campaign keeps every captured segment
+	// until finalize, so at paper scale (250 nodes × 720 repeats) it
+	// needs snapping to fit in memory. A streamed Experiment B
+	// (BOptions.Sink) holds only the sessions in flight; there
+	// snapping just trims the per-session payload copies.
 	SnapPayloads bool
 	// KeepBodies retains each response body on its Record. Off by
 	// default — bodies duplicate what the traces already carry.
@@ -244,25 +307,25 @@ func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
 }
 
 // issueAtDNS is issueAt with a DNS resolution cost recorded on the
-// record (the query was delayed by dnsTime before `at`).
+// record (the query was delayed by dnsTime before `at`). A streamed
+// dataset differs only in its completion hook: when the query's
+// connection terminates, the session is folded into the sink.
 func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	fe *frontend.Server, q workload.Query, dnsTime time.Duration) {
 	r.Sim.ScheduleAt(at, func() {
-		rec := Record{
+		seq := ds.add(Record{
 			Node:     node.Host,
 			FE:       fe.Host(),
 			Query:    q,
 			IssuedAt: r.Sim.Now(),
 			DNSTime:  dnsTime,
 			Failed:   true, // cleared on completion
-		}
-		idx := len(ds.Records)
-		ds.Records = append(ds.Records, rec)
+		})
 		req := httpsim.NewGet(r.Dep.Name, q.Path())
 		conn := httpsim.Get(r.eps[node.Host], fe.Host(), frontend.FEPort, req,
 			httpsim.ResponseCallbacks{
 				OnDone: func(resp *httpsim.Response) {
-					rr := &ds.Records[idx]
+					rr := ds.record(seq)
 					rr.Failed = false
 					rr.DoneAt = r.Sim.Now()
 					rr.Status = resp.Status
@@ -272,18 +335,60 @@ func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 					}
 				},
 			})
-		ds.Records[idx].Key = capture.ConnKey{
+		ds.record(seq).Key = capture.ConnKey{
 			Remote:     string(fe.Host()),
 			LocalPort:  conn.LocalPort(),
 			RemotePort: frontend.FEPort,
 		}
+		if ds.stream != nil {
+			// Fold at teardown, not at OnDone: under loss the server can
+			// still retransmit data after the response completed, and
+			// the accumulated trace would count those segments.
+			conn.OnFinish = func() { r.fold(ds, seq) }
+		}
 	})
 }
 
+// fold hands one finished session of a streamed dataset to its sink:
+// the session's events are carved out of the node's recorder (which
+// keeps only in-flight sessions), the record is consumed, and both are
+// dropped.
+func (r *Runner) fold(ds *Dataset, seq int) {
+	rr := ds.record(seq)
+	r.evScratch = r.recs[rr.Node].Take(rr.Key, r.evScratch[:0])
+	rr.Events = r.evScratch
+	ds.stream.sink.Consume(rr)
+	r.rt.NoteRecord()
+	ds.stream.release(seq)
+}
+
 // finalize runs the simulator to completion and attaches traces, session
-// events and FE ground truth to the dataset.
+// events and FE ground truth to the dataset. A streamed dataset instead
+// folds the sessions that never terminated, in issue order, and keeps
+// only the FE ground truth.
 func (r *Runner) finalize(ds *Dataset) *Dataset {
 	r.Sim.Run()
+	if st := ds.stream; st != nil {
+		// release keeps the window head unfolded, so this drains it.
+		for len(st.window) > 0 {
+			r.fold(ds, st.base)
+		}
+	} else {
+		r.attachSessions(ds)
+	}
+	for _, fe := range r.Dep.FEs {
+		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
+	}
+	r.observe(ds)
+	// One heap reading per completed world: with many batch worlds in
+	// flight this is what traces the campaign's memory watermark.
+	r.rt.SampleMem()
+	return ds
+}
+
+// attachSessions stores each node's whole trace on the dataset and
+// attaches every record's session events by connection key.
+func (r *Runner) attachSessions(ds *Dataset) {
 	for host, rec := range r.recs {
 		ds.Traces[host] = rec.Trace()
 	}
@@ -303,14 +408,6 @@ func (r *Runner) finalize(ds *Dataset) *Dataset {
 		}
 		rr.Events = sessions[rr.Key]
 	}
-	for _, fe := range r.Dep.FEs {
-		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
-	}
-	r.observe(ds)
-	// One heap reading per completed world: with many batch worlds in
-	// flight this is what traces the campaign's memory watermark.
-	r.rt.SampleMem()
-	return ds
 }
 
 // feLogKey joins an FE-side fetch record with a client-side session: the
@@ -572,20 +669,18 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
 			r.Sim.ScheduleAt(at, func() {
-				rec := Record{
+				seq := ds.add(Record{
 					Node:     node.Host,
 					FE:       fe.Host(),
 					Query:    q,
 					IssuedAt: r.Sim.Now(),
 					Failed:   true,
-				}
-				idx := len(ds.Records)
-				ds.Records = append(ds.Records, rec)
+				})
 				req := httpsim.NewGet(r.Dep.Name, q.Path())
 				req.Header["Connection"] = "keep-alive"
 				pc.Do(req, httpsim.ResponseCallbacks{
 					OnDone: func(resp *httpsim.Response) {
-						rr := &ds.Records[idx]
+						rr := ds.record(seq)
 						rr.Failed = false
 						rr.DoneAt = r.Sim.Now()
 						rr.Status = resp.Status
@@ -712,6 +807,14 @@ type BOptions struct {
 	Query workload.Query
 	// QuerySeed generates the default query.
 	QuerySeed int64
+	// Sink, when non-nil, streams the campaign: each session is folded
+	// into the sink as its connection terminates (Record.Seq gives the
+	// issue order), and the node recorders keep only sessions still in
+	// flight, so memory does not grow with Repeats. The returned
+	// Dataset then carries only FEFetchTimes — no Records, no Traces.
+	// Streaming does not assemble per-record observations, so it
+	// cannot be combined with Options.Obs.
+	Sink RecordSink
 }
 
 func (o BOptions) withDefaults() BOptions {
@@ -737,13 +840,34 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 		q = gen.Query(workload.ClassGranular)
 	}
 	ds := r.newDataset("B")
+	if opts.Sink != nil {
+		if r.obsv != nil {
+			return nil, fmt.Errorf("emulator: a streamed experiment B (BOptions.Sink) cannot be observed per record; build the runner without Options.Obs")
+		}
+		ds.stream = &recordStream{sink: opts.Sink}
+		// Late segments of folded sessions (e.g. retransmissions that
+		// cross the teardown) are dropped, not kept forever.
+		for host, rec := range r.recs {
+			ep := r.eps[host]
+			rec.Live = func(k capture.ConnKey) bool {
+				return ep.HasConn(simnet.HostID(k.Remote), k.RemotePort, k.LocalPort)
+			}
+		}
+		defer func() {
+			for _, rec := range r.recs {
+				rec.Live = nil
+			}
+		}()
+	}
 	for i, node := range r.Fleet.Nodes {
 		start := time.Duration(i%97) * 103 * time.Millisecond
 		for k := 0; k < opts.Repeats; k++ {
 			r.issueAt(ds, start+time.Duration(k)*opts.Interval, node, opts.FE, q)
 		}
 	}
-	return r.finalize(ds), nil
+	ds = r.finalize(ds)
+	ds.stream = nil
+	return ds, nil
 }
 
 // KeywordSweep runs the Figure-3 experiment: one node, one fixed FE,

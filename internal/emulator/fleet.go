@@ -387,13 +387,8 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	}
 
 	// The recorder holds this session (reset at issue); strays from the
-	// previous tenant's close handshake are filtered out by key.
-	r.evScratch = r.evScratch[:0]
-	for _, ev := range s.rec.Trace().Events {
-		if ev.Key() == rr.Key {
-			r.evScratch = append(r.evScratch, ev)
-		}
-	}
+	// previous tenant's close handshake are left behind by key.
+	r.evScratch = s.rec.Take(rr.Key, r.evScratch[:0])
 	rr.Events = r.evScratch
 
 	if fr, ok := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt); ok {

@@ -128,7 +128,7 @@ func LoadDataset(dir string) (*Dataset, error) {
 			Node: pr.Node, FE: pr.FE, Query: pr.Query,
 			IssuedAt: pr.IssuedAt, DoneAt: pr.DoneAt,
 			Status: pr.Status, BodyLen: pr.BodyLen,
-			Failed: pr.Failed, Key: pr.Key,
+			Failed: pr.Failed, Seq: i, Key: pr.Key,
 		}
 		if m, ok := sessions[pr.Node]; ok {
 			rec.Events = m[pr.Key]

@@ -35,6 +35,13 @@ type Conn struct {
 	// OnClose fires once when the peer's FIN is received (end of the
 	// peer's stream).
 	OnClose func()
+	// OnFinish fires once when the connection has terminated and left
+	// the endpoint's demux table: after a graceful close (our FIN
+	// acknowledged, the peer's FIN received) or an abort. After a
+	// graceful close no data of the peer can still arrive on a FIFO
+	// path — every retransmission the peer sent precedes its ACK of our
+	// FIN — so a captured session is complete at this point.
+	OnFinish func()
 
 	ep         *Endpoint
 	remote     simnet.HostID
@@ -203,7 +210,7 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 // still be aliased by in-flight segments on the heap or the fast lane.
 func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server bool) {
 	cfg := c.ep.cfg
-	c.OnConnect, c.OnData, c.OnClose = nil, nil, nil
+	c.OnConnect, c.OnData, c.OnClose, c.OnFinish = nil, nil, nil, nil
 	c.acceptFn = nil
 	c.remote, c.remotePort, c.localPort, c.server = remote, remotePort, localPort, server
 	c.sndUna, c.sndNxt, c.maxSent = 0, 0, 0
@@ -1345,9 +1352,12 @@ func (c *Conn) abort() {
 			c.OnClose()
 		}
 	}
-	// Retire strictly after OnClose: the callback may open a new
-	// connection, which must not be handed this very object while the
-	// abort frame still references it.
+	if c.OnFinish != nil {
+		c.OnFinish()
+	}
+	// Retire strictly after OnClose/OnFinish: the callbacks may open a
+	// new connection, which must not be handed this very object while
+	// the abort frame still references it.
 	c.ep.retire(c)
 }
 
@@ -1374,6 +1384,9 @@ func (c *Conn) maybeFinish() {
 		c.cancelTimer()
 		c.releaseOOO()
 		c.ep.remove(c)
+		if c.OnFinish != nil {
+			c.OnFinish()
+		}
 		c.ep.retire(c)
 	}
 }

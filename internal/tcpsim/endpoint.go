@@ -216,6 +216,13 @@ func (e *Endpoint) pushFree(c *Conn) {
 	e.free = append(e.free, c)
 }
 
+// HasConn reports whether a connection to remote:remotePort from
+// localPort is still in the demux table — i.e. has not terminated.
+func (e *Endpoint) HasConn(remote simnet.HostID, remotePort, localPort uint16) bool {
+	_, ok := e.conns[connKey{remote, remotePort, localPort}]
+	return ok
+}
+
 // OpenConns returns the number of tracked connections (testing aid).
 func (e *Endpoint) OpenConns() int { return len(e.conns) }
 

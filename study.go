@@ -2,6 +2,7 @@ package fesplit
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"fesplit/internal/analysis"
@@ -208,23 +209,26 @@ type expAResult struct {
 	nodes    []NodeSummary
 }
 
-// aSink folds one batch's default-FE records into mergeable
-// accumulators at emission time — the streaming alternative to
-// retaining the batch dataset. It applies exactly the skip conditions
-// of analysis.ExtractDataset (failed record, no events, unparseable
-// session), so the concatenated per-batch parameter lists equal the
-// merged-dataset extraction byte for byte; tail offers additionally
-// require an assembled span, mirroring analysis.SampleTails.
-type aSink struct {
+// paramSink folds records into mergeable accumulators at emission
+// time — the streaming alternative to retaining a dataset. It serves
+// each batch of the default-FE campaign and the streamed fixed-FE
+// campaigns. It applies exactly the skip conditions of
+// analysis.ExtractDataset (failed record, no events, unparseable
+// session), so its parameters in issue order equal the accumulated
+// dataset's extraction byte for byte; tail offers additionally require
+// an assembled span, mirroring analysis.SampleTails. The observers are
+// optional (nil skips them).
+type paramSink struct {
 	boundary int
 	po       *analysis.ParamObserver
 	co       *analysis.CritObserver
 	ts       *obs.TailSampler
 	params   []Params
+	seqs     []int // issue sequence of each params entry
 }
 
 // Consume implements emulator.RecordSink.
-func (k *aSink) Consume(rec *emulator.Record) {
+func (k *paramSink) Consume(rec *emulator.Record) {
 	if rec.Failed || len(rec.Events) == 0 {
 		return
 	}
@@ -233,6 +237,7 @@ func (k *aSink) Consume(rec *emulator.Record) {
 		return
 	}
 	k.params = append(k.params, p)
+	k.seqs = append(k.seqs, rec.Seq)
 	k.po.Observe(p)
 	// Critical-path attribution annotates the span before the tail
 	// sampler can retain it, so exemplars carry the cp:* waterfall.
@@ -244,6 +249,23 @@ func (k *aSink) Consume(rec *emulator.Record) {
 	if k.ts != nil && rec.Span != nil {
 		analysis.SampleTail(k.ts, rec, p, DefaultBoundTolerance)
 	}
+}
+
+// inIssueOrder returns the parameters sorted by their records' issue
+// sequence — the order analysis.ExtractDataset would produce. A
+// streamed Experiment B consumes in completion order; restoring issue
+// order keeps every order-sensitive float sum downstream unchanged.
+func (k *paramSink) inIssueOrder() []Params {
+	idx := make([]int, len(k.params))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return k.seqs[idx[a]] < k.seqs[idx[b]] })
+	out := make([]Params, len(idx))
+	for i, j := range idx {
+		out[i] = k.params[j]
+	}
+	return out
 }
 
 // expABatches resolves the node-batch count the sharded campaign will
@@ -271,7 +293,7 @@ func (s *Study) expABatches() int {
 // dataset, so the observed view is identical for any worker count.
 //
 // With StreamRecords set the campaign instead streams: each batch's
-// records fold into a per-batch aSink (parameters, sketches, tail
+// records fold into a per-batch paramSink (parameters, sketches, tail
 // offers) and the batch dataset is dropped. Batch accumulators merge in
 // batch order, which is exactly equivalent to the serial feed — same
 // parameters, same exemplar selection — so figure output is identical;
@@ -317,7 +339,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 	}
 	if s.cfg.StreamRecords {
 		sopts.Sink = func(b shard.Batch) emulator.RecordSink {
-			k := &aSink{boundary: boundary}
+			k := &paramSink{boundary: boundary}
 			if batchObsSlots != nil {
 				o := batchObsSlots[b.Index]
 				k.po = analysis.NewParamObserver(o.Registry(), cfg.Name)
@@ -336,7 +358,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		// Concatenating per-batch accumulators in batch order replays
 		// the serial record order exactly.
 		for _, bs := range batchSinks {
-			params = append(params, bs.(*aSink).params...)
+			params = append(params, bs.(*paramSink).params...)
 		}
 	} else {
 		params = analysis.ExtractDataset(ds, boundary)
@@ -590,8 +612,12 @@ func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 		return nil, err
 	}
 	// The fixed-FE campaign is the study's largest (250 × 720
-	// sessions at paper scale): snap payloads at capture time so
-	// it fits in memory. The boundary probe above already ran
+	// sessions at paper scale). It streams: each session folds into
+	// the sink as its connection closes, so the world holds only the
+	// sessions in flight, never the whole campaign's packet trace. The
+	// sink restores issue order, so the parameters — and every sum
+	// over them — are those of the accumulated dataset. Payloads are
+	// snapped at capture time; the boundary probe above already ran
 	// with full payloads.
 	runner, err := emulator.New(s.cfg.Seed+41, cfg, emulator.Options{
 		Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 42, SnapPayloads: true,
@@ -604,14 +630,15 @@ func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 	if fe == nil {
 		fe = runner.Dep.FEs[0]
 	}
+	sink := &paramSink{boundary: boundary}
 	ds, err := runner.RunExperimentB(emulator.BOptions{
 		FE: fe, Repeats: s.cfg.RepeatsB, Interval: s.cfg.IntervalB,
-		QuerySeed: s.cfg.Seed + 43,
+		QuerySeed: s.cfg.Seed + 43, Sink: sink,
 	})
 	if err != nil {
 		return nil, err
 	}
-	params := analysis.ExtractDataset(ds, boundary)
+	params := sink.inIssueOrder()
 	analysis.ObserveParams(s.obsv.Registry(), "fig5/"+cfg.Name, params)
 	nodes := analysis.PerNode(params)
 	thr, hasThr := analysis.DeltaThreshold(nodes, 2*time.Millisecond)

@@ -159,15 +159,15 @@ func (s *Study) ModelValidation() (*ModelValidationData, error) {
 		return nil, err
 	}
 	fe := runner.Dep.FEs[0]
+	sink := &paramSink{boundary: boundary}
 	ds, err := runner.RunExperimentB(emulator.BOptions{
 		FE: fe, Repeats: max(s.cfg.RepeatsB/20, 6), Interval: s.cfg.IntervalB,
-		QuerySeed: s.cfg.Seed + 93,
+		QuerySeed: s.cfg.Seed + 93, Sink: sink,
 	})
 	if err != nil {
 		return nil, err
 	}
-	params := analysis.ExtractDataset(ds, boundary)
-	nodes := analysis.PerNode(params)
+	nodes := analysis.PerNode(sink.inIssueOrder())
 
 	// Model inputs shared across nodes: the service's median fetch
 	// (ground truth) and FE delay, and the content sizes.
